@@ -28,9 +28,15 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
     }
 
     // External requirements refine exactly once: border reachability of a
-    // host does not depend on other instances' functional state.
-    for (const reachability_requirement& req : requirements) {
+    // host does not depend on other instances' functional state. The same
+    // pass queues every internal requirement for its first run.
+    stale_.resize(requirements.size());
+    bool pending = false;
+    for (std::size_t r = 0; r < requirements.size(); ++r) {
+        const reachability_requirement& req = requirements[r];
+        stale_[r] = req.source ? 1 : 0;
         if (req.source) {
+            pending = true;
             continue;
         }
         const std::uint32_t begin = offsets_[req.target];
@@ -43,22 +49,26 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
     }
 
     // Internal requirements run to a greatest fixpoint: strip instances
-    // unreachable from every functional source instance until stable.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const reachability_requirement& req : requirements) {
-            if (!req.source) {
+    // unreachable from every functional source instance until stable. A
+    // requirement's run depends on its target only through which instances
+    // it may strip, so it can strip more only after its source component
+    // lost a functional instance: a worklist re-runs exactly those. The
+    // greatest fixpoint is unique, so the verdict equals a full-pass loop's.
+    while (pending) {
+        pending = false;
+        for (std::size_t r = 0; r < requirements.size(); ++r) {
+            if (stale_[r] == 0) {
                 continue;
             }
+            stale_[r] = 0;
+            const reachability_requirement& req = requirements[r];
             const std::uint32_t t_begin = offsets_[req.target];
             const std::uint32_t t_end = t_begin + components[req.target].replicas;
             const std::uint32_t s_begin = offsets_[*req.source];
             const std::uint32_t s_end = s_begin + components[*req.source].replicas;
 
-            // Source-major iteration so oracles that cache per-source
-            // floods (bfs_reachability) get cache hits: one pass per source
-            // instance, marking every target instance it reaches.
+            // Source-major: one pass per functional source instance, marking
+            // every target instance it reaches.
             reached_.assign(t_end - t_begin, 0);
             for (std::uint32_t j = s_begin; j < s_end; ++j) {
                 if (functional_[j] == 0) {
@@ -71,10 +81,22 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
                     }
                 }
             }
+            bool stripped = false;
             for (std::uint32_t i = t_begin; i < t_end; ++i) {
                 if (functional_[i] != 0 && reached_[i - t_begin] == 0) {
                     functional_[i] = 0;
-                    changed = true;
+                    stripped = true;
+                }
+            }
+            if (!stripped) {
+                continue;
+            }
+            // The target lost instances: every requirement sourced from it
+            // runs again (in this pass if it comes later, else the next).
+            for (std::size_t q = 0; q < requirements.size(); ++q) {
+                if (requirements[q].source == req.target) {
+                    stale_[q] = 1;
+                    pending = true;
                 }
             }
         }

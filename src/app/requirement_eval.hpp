@@ -33,6 +33,8 @@ private:
     std::vector<std::uint8_t> functional_;
     std::vector<std::uint32_t> offsets_;  ///< per component, into functional_
     std::vector<std::uint8_t> reached_;   ///< per-requirement scratch
+    /// Per requirement: 1 iff it must (re)run in the current fixpoint.
+    std::vector<std::uint8_t> stale_;
 };
 
 }  // namespace recloud

@@ -29,7 +29,7 @@ bfs_reachability::bfs_reachability(const built_topology& topo,
     : topo_(&topo),
       links_(links),
       external_mark_(topo.graph.node_count(), 0),
-      source_mark_(topo.graph.node_count(), 0),
+      label_(topo.graph.node_count(), 0),
       target_mark_(topo.graph.node_count(), 0) {
     if (!topo.graph.frozen()) {
         throw std::logic_error{"bfs_reachability: topology graph not frozen"};
@@ -46,7 +46,7 @@ bfs_reachability::bfs_reachability(const built_topology& topo,
 void bfs_reachability::begin_round(round_state& rs) {
     rs_ = &rs;
     external_flooded_ = false;
-    cached_source_ = invalid_node;
+    label_floor_ = label_stamp_;
     targets_active_ = false;
 }
 
@@ -316,21 +316,35 @@ bool bfs_reachability::host_to_host(node_id a, node_id b) {
     if (a == b) {
         return true;
     }
-    if (cached_source_ != a || cached_source_epoch_ != rs_->epoch()) {
-        // Fresh stamp per flood: several sources may be flooded within one
-        // round and their marks must not bleed into each other.
-        ++source_stamp_;
-        if (source_stamp_ == 0) {
-            // uint32 wrap-around: a mark written 2^32 floods ago would alias
-            // a fresh stamp. Wipe the array and restart the cycle at 1.
-            std::fill(source_mark_.begin(), source_mark_.end(), 0);
-            source_stamp_ = 1;
+    // The external flood labels the external node's component: for a
+    // queryable host, marked means alive and in it, whether the flood was
+    // cut short by the hint (it stops only once every alive target is
+    // marked) or ran to the end. Two hosts in it reach each other; if only
+    // one is, they do not. A failed external node still seeds the border
+    // flood but carries no host-to-host path, so it labels nothing here.
+    if (!rs_->failed(topo_->external)) {
+        ensure_external_flood();
+        const bool a_external = external_mark_[a] == external_stamp_;
+        const bool b_external = external_mark_[b] == external_stamp_;
+        if (a_external || b_external) {
+            return a_external && b_external;
         }
-        flood(a, source_mark_, source_stamp_);
-        cached_source_ = a;
-        cached_source_epoch_ = rs_->epoch();
     }
-    return source_mark_[b] == source_stamp_;
+    if (label_[a] <= label_floor_) {
+        // First query into a's component this round: one flood labels all
+        // of it (or, cut short by the hint, every alive target in it).
+        ++label_stamp_;
+        if (label_stamp_ == 0) {
+            // uint32 wrap-around: a label written 2^32 floods ago would
+            // alias a fresh stamp. Wipe the array and restart the cycle at
+            // 1; components labelled earlier this round are flooded again.
+            std::fill(label_.begin(), label_.end(), 0);
+            label_stamp_ = 1;
+            label_floor_ = 0;
+        }
+        flood(a, label_, label_stamp_);
+    }
+    return label_[b] == label_[a];
 }
 
 std::unique_ptr<reachability_oracle> bfs_reachability::clone() const {

@@ -3,12 +3,16 @@
 // graphs) — the price is O(V + E) per flood instead of the fat-tree
 // oracle's O(k) closed-form answers.
 //
-// border_reachable() floods once per round from the external node and is
-// then O(1) per query; host_to_host() floods from `a` on demand and caches
-// the result set per (round, source). When the round is begun with a
-// query-target hint (begin_round(rs, hosts)), floods terminate as soon as
-// every alive target host is marked — the rest of the graph can no longer
-// change any answer the round is allowed to ask for.
+// Over the undirected alive graph reachability is an equivalence relation,
+// so the oracle answers from per-round component labels. border_reachable()
+// floods once per round from the external node, which labels the external
+// node's component; host_to_host() answers from that flood when either end
+// lies in it, and otherwise floods from `a` once, labelling `a`'s whole
+// component. Each component is thus flooded at most once per round, and
+// every later query is O(1). When the round is begun with a query-target
+// hint (begin_round(rs, hosts)), floods terminate as soon as every alive
+// target host is marked — the rest of the graph can no longer change any
+// answer the round is allowed to ask for.
 #pragma once
 
 #include <vector>
@@ -46,10 +50,11 @@ public:
         return links_;
     }
 
-    /// Test hook: fast-forwards the per-source flood stamp so the uint32
+    /// Test hook: fast-forwards the component-label stamp so the uint32
     /// wrap-around hardening can be exercised without 2^32 floods.
-    void set_source_stamp_for_test(std::uint32_t stamp) noexcept {
-        source_stamp_ = stamp;
+    /// Takes effect from the next begin_round.
+    void set_label_stamp_for_test(std::uint32_t stamp) noexcept {
+        label_stamp_ = stamp;
     }
 
 private:
@@ -89,7 +94,7 @@ private:
     /// Monotonic stamp for external floods — oracle-owned (not the round
     /// epoch) so marks may outlive the round that produced them and be
     /// reused by a later round with the identical raw failed-set. Wraps
-    /// like source_stamp_.
+    /// like label_stamp_.
     std::uint32_t external_stamp_ = 0;
     bool external_settled_ = false;  ///< current marks ran to exhaustion
     /// Raw failed-set snapshot the external marks were computed from.
@@ -98,14 +103,16 @@ private:
     std::uint64_t last_flood_hash_ = 0;
     std::vector<component_id> last_flood_raw_;
 
-    std::vector<std::uint32_t> source_mark_;  ///< reach-from-cached-source
-    node_id cached_source_ = invalid_node;
-    std::uint32_t cached_source_epoch_ = 0;
-    /// Monotonic stamp for source floods: several sources can be flooded
-    /// within ONE round, so the round epoch alone cannot key the marks. On
-    /// uint32 wrap-around source_mark_ is cleared (a stale mark from 2^32
-    /// floods ago could otherwise alias a fresh stamp).
-    std::uint32_t source_stamp_ = 0;
+    /// Per node: the stamp of the flood that labelled its component, for
+    /// components outside the external node's. A label belongs to the
+    /// current round iff it exceeds label_floor_.
+    std::vector<std::uint32_t> label_;
+    /// Monotonic stamp, one per component flood: several components can be
+    /// labelled within ONE round, so the round epoch alone cannot key the
+    /// labels. On uint32 wrap-around label_ is cleared (a stale label from
+    /// 2^32 floods ago could otherwise alias a fresh stamp).
+    std::uint32_t label_stamp_ = 0;
+    std::uint32_t label_floor_ = 0;  ///< label_stamp_ when the round began
 
     // Query-target hint of the current round (begin_round overload).
     bool targets_active_ = false;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -20,6 +23,18 @@ struct table2_row {
     std::size_t border;
     std::size_t hosts;
 };
+
+// ctest records each case under a name that ends in the printed parameter.
+// Print the row's bytes as gtest prints any struct it cannot format, but with
+// the padding after `scale` zeroed: left as they are, those bytes are
+// indeterminate and the recorded name changes from one build to the next.
+void PrintTo(const table2_row& row, std::ostream* os) {
+    unsigned char bytes[sizeof(table2_row)];
+    std::memcpy(bytes, &row, sizeof bytes);
+    constexpr std::size_t pad_begin = offsetof(table2_row, scale) + sizeof(data_center_scale);
+    std::memset(bytes + pad_begin, 0, offsetof(table2_row, k) - pad_begin);
+    ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class FatTreeTable2 : public ::testing::TestWithParam<table2_row> {};
 

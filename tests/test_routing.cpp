@@ -280,11 +280,11 @@ TEST(BfsReachability, QueriesBeforeBeginRoundRejected) {
                  std::logic_error);
 }
 
-TEST(BfsReachability, SourceStampSurvivesUint32WrapAround) {
-    // The per-source flood stamp is a uint32 that increments once per flood;
-    // after 2^32 floods it wraps and a stale mark could alias a fresh stamp.
-    // Fast-forward the stamp to the edge and check every answer across the
-    // wrap against a fresh oracle that is nowhere near it.
+TEST(BfsReachability, ComponentLabelStampSurvivesUint32WrapAround) {
+    // The component-label stamp is a uint32 that increments once per label
+    // flood; after 2^32 floods it wraps and a stale label could alias a
+    // fresh stamp. Fast-forward the stamp to the edge and check every answer
+    // across the wrap against a fresh oracle that is nowhere near it.
     const built_topology topo = build_leaf_spine(
         {.spines = 2, .leaves = 3, .hosts_per_leaf = 3, .border_leaves = 1});
     const std::size_t n = topo.graph.node_count();
@@ -292,14 +292,19 @@ TEST(BfsReachability, SourceStampSurvivesUint32WrapAround) {
     round_state rs_fresh{n, nullptr};
     bfs_reachability wrapping{topo};
     bfs_reachability fresh{topo};
-    wrapping.set_source_stamp_for_test(0xFFFFFFFEu);
 
     std::vector<double> probs(n, 0.2);
     monte_carlo_sampler sampler{probs, 11};
     std::vector<component_id> failed;
-    // Each round floods up to #hosts sources, so a handful of rounds drives
-    // the stamp through 0xFFFFFFFF -> wrap -> low values.
-    for (int round = 0; round < 20; ++round) {
+    // A round labels every component cut off from the external node (all
+    // of them when the external node fails), so a few rounds after each
+    // fast-forward drive the stamp through 0xFFFFFFFF -> wrap -> low
+    // values. Fast-forwarding every tenth round crosses the wrap many
+    // times, each with different labels left behind from before it.
+    for (int round = 0; round < 200; ++round) {
+        if (round % 10 == 0) {
+            wrapping.set_label_stamp_for_test(0xFFFFFFFEu);
+        }
         sampler.next_round(failed);
         rs_wrapping.begin_round(failed);
         rs_fresh.begin_round(failed);
